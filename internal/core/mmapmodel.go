@@ -22,6 +22,9 @@ type Scorer interface {
 	// ScoreWithFactor scores every item against an explicit user factor
 	// and bias, the fold-in path.
 	ScoreWithFactor(fu []float64, bias float64, dst []float64)
+	// IndexSupport builds the posting index of ScoreSupport, the
+	// sparse-support path of ScoreUser, ahead of its first use.
+	IndexSupport()
 	NumUsers() int
 	NumItems() int
 }
@@ -64,6 +67,8 @@ type MappedModel struct {
 
 	// float32 sections; nil when the file has none.
 	fu32, fi32, bu32, bi32 []float32
+
+	support supportIndex // over fi32; the float64 path uses view's
 
 	cleanup runtime.Cleanup
 	path    string

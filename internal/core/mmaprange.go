@@ -48,6 +48,8 @@ type MappedModelRange struct {
 	fu32, bu32 []float32 // float32 sections, nil when absent
 	fi32, bi32 []float32
 
+	support supportIndex // see ScoreSupport
+
 	cleanup runtime.Cleanup
 }
 

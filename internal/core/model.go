@@ -36,6 +36,8 @@ type Model struct {
 	// bu, bi are the optional non-negative biases of Section IV-A; both
 	// nil unless the model was trained with Config.Bias.
 	bu, bi []float64
+
+	support supportIndex // see ScoreSupport
 }
 
 // K returns the number of co-clusters.

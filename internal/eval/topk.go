@@ -16,8 +16,7 @@ import (
 //
 // TopM is a thin adapter over the ranking engine: it scores, then hands
 // selection to rank.Select with a training-row exclusion filter. The
-// engine owns the heap/sort selection paths and the sorted-cursor
-// exclusion walk; topk_test.go pins TopM's output to an independent
+// engine owns the heap selection and the sorted-cursor exclusion walk; topk_test.go pins TopM's output to an independent
 // full-sort reference.
 func TopM(rec Recommender, train *sparse.Matrix, u, m int, scores []float64) []int {
 	if m <= 0 {

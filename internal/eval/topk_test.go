@@ -38,8 +38,8 @@ func refTopM(scores []float64, owned []int32, m int) []int {
 }
 
 // TestTopMMatchesReference: the engine-backed TopM must return exactly the
-// reference ranking for every m, including under heavy ties and both
-// selection regimes (heap for small m, full sort for large m).
+// reference ranking for every m, including under heavy ties and m
+// covering most or all of the catalogue.
 func TestTopMMatchesReference(t *testing.T) {
 	f := func(seed uint16, mRaw uint8) bool {
 		r := rng.New(uint64(seed) + 101)

@@ -193,6 +193,12 @@ func (c *ListCache) GetOrCompute(user, m int, fp string, compute func() (items [
 		}
 		return items, scores, false, err
 	}
+	if items, scores, ok := c.cache.get(key); ok {
+		// A leader published between our cache miss and our join.
+		c.flight.publish(key, call, items, scores)
+		c.stats.hits.Add(1)
+		return items, scores, true, nil
+	}
 	c.stats.misses.Add(1)
 	published := false
 	defer func() {

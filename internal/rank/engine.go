@@ -6,7 +6,9 @@
 // lists, item-tag allow/deny lists), selection returns the top survivors
 // under a deterministic tie rule, and optional Stages re-rank the selected
 // head (score floors, MMR diversity, tag boosts) over a declared
-// over-fetch so the staged top-m is well-defined.
+// over-fetch so the staged top-m is well-defined. A scorer that is also a
+// SupportScorer lets known-user rankings score only the items that can
+// score above zero, with the same result.
 //
 // The Engine adds the serving machinery on top of the pure pipeline:
 // pooled score buffers, a sharded LRU cache keyed by a request fingerprint
@@ -34,6 +36,20 @@ type Scorer interface {
 	NumItems() int
 }
 
+// SupportScorer is the optional sparse-support path of a Scorer, which
+// the engine takes on every cache miss of TopM, TopMStaged and
+// TopMBatch when the scorer offers it. core's models implement it: their
+// non-negative factors make every item sharing no co-cluster with the
+// user score exactly 0, so only the rest need scoring.
+type SupportScorer interface {
+	// ScoreSupport replaces cand with the ascending items whose score for
+	// user u may be nonzero, and scores with their scores, bit-identical
+	// to the entries ScoreUser writes; every other item must score +0 in
+	// ScoreUser. ok=false declines for this user, and the engine scores
+	// densely. cand and scores are scratch the implementation may reuse.
+	ScoreSupport(u int, cand []int32, scores []float64) (_ []int32, _ []float64, ok bool)
+}
+
 // Config tunes an Engine. The zero value disables caching (and with it
 // coalescing, which only applies to cacheable requests).
 type Config struct {
@@ -56,6 +72,8 @@ type Stats struct {
 	misses    atomic.Int64
 	coalesced atomic.Int64
 	ranked    atomic.Int64
+	support   atomic.Int64
+	scored    atomic.Int64
 }
 
 // Hits returns the number of requests answered from the cache.
@@ -73,16 +91,26 @@ func (s *Stats) Coalesced() int64 { return s.coalesced.Load() }
 // the work the cache and coalescing exist to avoid.
 func (s *Stats) Ranked() int64 { return s.ranked.Load() }
 
+// SupportRanked returns how many of the Ranked computations took the
+// scorer's sparse-support path instead of scoring every item.
+func (s *Stats) SupportRanked() int64 { return s.support.Load() }
+
+// SupportCandidates returns the total number of items the sparse-support
+// rankings scored (their dense counterparts score the whole catalogue).
+func (s *Stats) SupportCandidates() int64 { return s.scored.Load() }
+
 // Engine executes ranking requests over one scorer. All methods are safe
 // for concurrent use. An engine is bound to an immutable scorer: the
 // serving layer builds a fresh engine per model snapshot, which also makes
 // cache invalidation wholesale and race-free.
 type Engine struct {
-	scorer Scorer
-	cache  *topCache
-	flight flightGroup
-	stats  *Stats
-	bufs   sync.Pool // *[]float64 of length scorer.NumItems()
+	scorer  Scorer
+	support SupportScorer // scorer's sparse-support path, or nil
+	cache   *topCache
+	flight  flightGroup
+	stats   *Stats
+	bufs    sync.Pool // *[]float64 of length scorer.NumItems()
+	supBufs sync.Pool // *supportBuf
 }
 
 // NewEngine builds an engine ranking scorer's scores under cfg.
@@ -91,10 +119,12 @@ func NewEngine(scorer Scorer, cfg Config) *Engine {
 	if stats == nil {
 		stats = &Stats{}
 	}
+	support, _ := scorer.(SupportScorer)
 	return &Engine{
-		scorer: scorer,
-		cache:  newTopCache(cfg.CacheSize, cfg.CacheShards),
-		stats:  stats,
+		scorer:  scorer,
+		support: support,
+		cache:   newTopCache(cfg.CacheSize, cfg.CacheShards),
+		stats:   stats,
 	}
 }
 
@@ -130,11 +160,11 @@ func (e *Engine) TopMStaged(u, m int, stages []Stage, filters ...Filter) (items 
 
 func (e *Engine) topM(u, m int, stages []Stage, filters []Filter, tm *Timings) (items []int, scores []float64, cached bool) {
 	flat := flatten(filters)
-	score := func(dst []float64) { e.scorer.ScoreUser(u, dst) }
+	sel := func(m int) ([]int, []float64) { return e.rankUser(u, m, flat, tm) }
 	fp, cacheable := fingerprintStaged(flat, stages)
 	if !cacheable || e.cache == nil {
 		e.stats.misses.Add(1)
-		items, scores = e.rankStaged(score, m, flat, stages, tm)
+		items, scores = e.rankStaged(sel, m, stages, tm)
 		return items, scores, false
 	}
 	key := requestKey{user: u, m: m, filters: fp}
@@ -158,9 +188,19 @@ func (e *Engine) topM(u, m int, stages []Stage, filters []Filter, tm *Timings) (
 		// The leader failed to publish (it panicked); fall back to an
 		// uncoalesced computation rather than propagating its failure.
 		e.stats.misses.Add(1)
-		items, scores = e.rankStaged(score, m, flat, stages, tm)
+		items, scores = e.rankStaged(sel, m, stages, tm)
 		e.cache.put(key, items, scores)
 		return items, scores, false
+	}
+	if items, scores, ok := e.cache.get(key); ok {
+		// A leader published between our cache miss and our join: its
+		// entry is cached, so hand that to our own waiters.
+		e.flight.publish(key, c, items, scores)
+		e.stats.hits.Add(1)
+		if tm != nil {
+			tm.Cached = true
+		}
+		return items, scores, true
 	}
 	e.stats.misses.Add(1)
 	published := false
@@ -169,7 +209,7 @@ func (e *Engine) topM(u, m int, stages []Stage, filters []Filter, tm *Timings) (
 			e.flight.abandon(key, c)
 		}
 	}()
-	items, scores = e.rankStaged(score, m, flat, stages, tm)
+	items, scores = e.rankStaged(sel, m, stages, tm)
 	e.cache.put(key, items, scores)
 	e.flight.publish(key, c, items, scores)
 	published = true
@@ -189,7 +229,9 @@ func (e *Engine) Rank(score func(dst []float64), m int, filters ...Filter) (item
 // RankStaged is Rank followed by the request's re-rank stages — the
 // fold-in path of a staged arm. Like Rank it never consults the cache.
 func (e *Engine) RankStaged(score func(dst []float64), m int, stages []Stage, filters ...Filter) (items []int, scores []float64) {
-	return e.rankStaged(score, m, flatten(filters), compactStages(stages), nil)
+	flat := flatten(filters)
+	sel := func(m int) ([]int, []float64) { return e.rank(score, m, flat, nil) }
+	return e.rankStaged(sel, m, compactStages(stages), nil)
 }
 
 // rank is the shared score → filter → select execution over a pooled
@@ -221,14 +263,65 @@ func (e *Engine) rank(score func(dst []float64), m int, flat []Filter, tm *Timin
 	return items, scores
 }
 
-// rankStaged extends rank with the post-selection stage pass: it selects
-// the stages' over-fetch, applies them, and truncates to m. With no
-// stages it is exactly rank.
-func (e *Engine) rankStaged(score func(dst []float64), m int, flat []Filter, stages []Stage, tm *Timings) ([]int, []float64) {
-	if len(stages) == 0 {
-		return e.rank(score, m, flat, tm)
+// rankUser is the ranking of known user u: over the scorer's sparse
+// support when it offers one for u, densely otherwise.
+func (e *Engine) rankUser(u, m int, flat []Filter, tm *Timings) ([]int, []float64) {
+	if e.support != nil {
+		if items, scores, ok := e.rankSupport(u, m, flat, tm); ok {
+			return items, scores
+		}
 	}
-	items, scores := e.rank(score, StagesOverFetch(m, stages), flat, tm)
+	return e.rank(func(dst []float64) { e.scorer.ScoreUser(u, dst) }, m, flat, tm)
+}
+
+// supportBuf is the pooled scratch of one sparse-support ranking.
+type supportBuf struct {
+	cand   []int32
+	scores []float64
+}
+
+// rankSupport ranks u from the scorer's sparse support, reporting false
+// (having done no ranking) when the scorer declines. Its output is
+// identical to rank's over ScoreUser; tm's Score covers ScoreSupport and
+// Select the selection.
+func (e *Engine) rankSupport(u, m int, flat []Filter, tm *Timings) ([]int, []float64, bool) {
+	b, _ := e.supBufs.Get().(*supportBuf)
+	if b == nil {
+		b = &supportBuf{}
+	}
+	defer e.supBufs.Put(b)
+	var t0 time.Time
+	if tm != nil {
+		t0 = time.Now()
+	}
+	var ok bool
+	b.cand, b.scores, ok = e.support.ScoreSupport(u, b.cand, b.scores)
+	if !ok {
+		return nil, nil, false
+	}
+	e.stats.ranked.Add(1)
+	e.stats.support.Add(1)
+	e.stats.scored.Add(int64(len(b.cand)))
+	var t1 time.Time
+	if tm != nil {
+		t1 = time.Now()
+		tm.Score += t1.Sub(t0)
+	}
+	items, scores := selectSupport(e.scorer.NumItems(), b.cand, b.scores, m, flat)
+	if tm != nil {
+		tm.Select += time.Since(t1)
+	}
+	return items, scores, true
+}
+
+// rankStaged runs sel (a ranking at a given list length) at the stages'
+// over-fetch, applies the stages and truncates to m. With no stages it
+// is exactly sel(m).
+func (e *Engine) rankStaged(sel func(m int) ([]int, []float64), m int, stages []Stage, tm *Timings) ([]int, []float64) {
+	if len(stages) == 0 {
+		return sel(m)
+	}
+	items, scores := sel(StagesOverFetch(m, stages))
 	var t0 time.Time
 	if tm != nil {
 		t0 = time.Now()
@@ -260,10 +353,11 @@ type flightGroup struct {
 }
 
 type flightCall struct {
-	done   chan struct{}
-	ok     bool // set before done closes; false when the leader abandoned
-	items  []int
-	scores []float64
+	done    chan struct{}
+	waiters int  // joins after the leader's, under flightGroup.mu
+	ok      bool // set before done closes; false when the leader abandoned
+	items   []int
+	scores  []float64
 }
 
 // join returns the in-flight call for key, creating it when absent; leader
@@ -275,6 +369,7 @@ func (g *flightGroup) join(key requestKey) (c *flightCall, leader bool) {
 		g.calls = make(map[requestKey]*flightCall)
 	}
 	if c, ok := g.calls[key]; ok {
+		c.waiters++
 		return c, false
 	}
 	c = &flightCall{done: make(chan struct{})}

@@ -48,13 +48,6 @@ type Keyed interface {
 	CacheKey() string
 }
 
-// bounder is implemented by the provided filters so selection can size its
-// sort-versus-heap decision without a counting pass. maxExcluded returns an
-// upper bound on how many of numItems items the filter excludes.
-type bounder interface {
-	maxExcluded(numItems int) int
-}
-
 // TrainRow excludes the items user u has a training positive for in train —
 // the offline evaluation protocol's candidate set (rank the unknowns), and
 // the serving default of never recommending an item back to its owner.
@@ -77,8 +70,6 @@ func (f rowFilter) ExcludedList() []int32 { return f.row }
 // CacheKey identifies the row by user index: within one engine the train
 // matrix is fixed, so the user uniquely determines the exclusion set.
 func (f rowFilter) CacheKey() string { return "train:" + strconv.Itoa(f.user) }
-
-func (f rowFilter) maxExcluded(int) int { return len(f.row) }
 
 // ExcludeItems excludes an explicit per-request item list (a client's "do
 // not recommend these" set, or a fold-in user's history). The input is
@@ -128,13 +119,6 @@ func (f itemsFilter) ExcludedList() []int32 { return f.list }
 
 func (f itemsFilter) CacheKey() string { return f.key }
 
-func (f itemsFilter) maxExcluded(numItems int) int {
-	if len(f.list) > numItems {
-		return numItems
-	}
-	return len(f.list)
-}
-
 // OffsetRange adapts a filter expressed over global item ids to the local
 // index space of an item partition [lo, hi): local index n stands for
 // global item n+lo. The sharded serving tier scores only its partition —
@@ -171,13 +155,6 @@ type offsetFilter struct {
 }
 
 func (f offsetFilter) Excluded(local int) bool { return f.inner.Excluded(local + f.lo) }
-
-func (f offsetFilter) maxExcluded(numItems int) int {
-	if b, ok := f.inner.(bounder); ok {
-		return b.maxExcluded(numItems)
-	}
-	return numItems
-}
 
 // Union composes filters: the result excludes an item iff any member does.
 // The engine flattens unions, so members keep their individual sorted and

@@ -3,6 +3,7 @@ package rank
 import (
 	"fmt"
 	"math/rand/v2"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -162,6 +163,16 @@ type predicateFilter map[int]bool
 
 func (p predicateFilter) Excluded(item int) bool { return p[item] }
 
+// waiting returns how many joins are waiting on key's in-flight call.
+func (g *flightGroup) waiting(key requestKey) int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if c, ok := g.calls[key]; ok {
+		return c.waiters
+	}
+	return 0
+}
+
 func TestListCacheHitMissCoalesce(t *testing.T) {
 	stats := &Stats{}
 	c := NewListCache(64, 4, stats)
@@ -210,14 +221,11 @@ func TestListCacheHitMissCoalesce(t *testing.T) {
 			}
 		}()
 	}
-	// Give the goroutines a chance to pile onto the flight; then release.
-	for {
-		mu.Lock()
-		n := computations
-		mu.Unlock()
-		if n >= 1 {
-			break
-		}
+	// Release the leader only once the other 7 have joined its flight;
+	// any earlier and a late goroutine finds the published entry and
+	// counts as a hit instead of a coalesced waiter.
+	for c2.flight.waiting(requestKey{user: 1, m: 5, filters: "x"}) < 7 {
+		runtime.Gosched()
 	}
 	close(release)
 	wg.Wait()

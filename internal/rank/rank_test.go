@@ -75,7 +75,8 @@ func testTagTable(t testing.TB, ni int) *TagTable {
 // TestSelectMatchesReference is the engine's core property test: across
 // random (m, training-row, exclusion-list, tag-filter) combinations —
 // heavy score ties included — Select must return bit-identically the
-// full-sort reference ranking, in both the heap and sort regimes.
+// full-sort reference ranking, for small m and for m covering most or
+// all of the candidates.
 func TestSelectMatchesReference(t *testing.T) {
 	f := func(seed uint16, mRaw uint8, combo uint8) bool {
 		r := rng.New(uint64(seed)*7 + 13)

@@ -1,10 +1,5 @@
 package rank
 
-import (
-	"container/heap"
-	"sort"
-)
-
 // Select returns the indices of the m highest-scoring items among those no
 // filter excludes, in descending score order with ties broken by ascending
 // index (deterministic rankings; see McSherry & Najork on tied scores).
@@ -13,10 +8,10 @@ import (
 // read scores[i] back for the returned items.
 //
 // Selection is a size-m min-heap over the candidates, O(n_i log m), which
-// matters when ranking a 17k-item catalogue for a top-50 list; a full sort
-// is used when m covers most of the candidate set. Both paths share one
-// exclusion scan that walks Sorted filters with cursors and falls back to
-// the Excluded predicate for the rest.
+// matters when ranking a 17k-item catalogue for a top-50 list. Each item
+// is first tested against the heap root and only then against the
+// filters, through one exclusion scan that walks Sorted filters with
+// cursors and falls back to the Excluded predicate for the rest.
 func Select(scores []float64, m int, filters ...Filter) []int {
 	return selectFlat(scores, m, flatten(filters))
 }
@@ -28,20 +23,21 @@ func selectFlat(scores []float64, m int, flat []Filter) []int {
 		return nil
 	}
 	scan := newExclusionScan(flat)
-	// Upper-bound the exclusions to estimate the candidate count. Filters
-	// may overlap, so this underestimates nCand — which only biases the
-	// path choice toward the full sort; both paths return identical
-	// rankings.
-	bound := 0
-	for _, f := range flat {
-		if c, ok := f.(bounder); ok {
-			bound += c.maxExcluded(len(scores))
+	h := newTopHeap(m, len(scores))
+	for i, s := range scores {
+		if h.admits(s, i) && !scan.excluded(i) {
+			h.add(s, i)
 		}
 	}
-	if nCand := len(scores) - bound; m*4 < nCand {
-		return selectHeap(scores, m, scan)
+	ranked := h.drain()
+	if len(ranked) == 0 {
+		return nil
 	}
-	return selectSort(scores, m, scan)
+	out := make([]int, len(ranked))
+	for n, c := range ranked {
+		out[n] = c.item
+	}
+	return out
 }
 
 // exclusionScan merges a request's filters into one per-item test for the
@@ -67,6 +63,11 @@ func newExclusionScan(flat []Filter) *exclusionScan {
 	return s
 }
 
+// reset rewinds the cursors for a new ascending scan.
+func (s *exclusionScan) reset() {
+	clear(s.cursors)
+}
+
 func (s *exclusionScan) excluded(item int) bool {
 	for n, l := range s.lists {
 		c := s.cursors[n]
@@ -86,83 +87,139 @@ func (s *exclusionScan) excluded(item int) bool {
 	return false
 }
 
-// selectSort ranks all candidates by full sort; exact reference used for
-// large m and by the equivalence tests.
-func selectSort(scores []float64, m int, scan *exclusionScan) []int {
-	cand := make([]int, 0, len(scores))
-	for i := range scores {
-		if scan.excluded(i) {
-			continue
-		}
-		cand = append(cand, i)
-	}
-	if len(cand) == 0 {
-		return nil
-	}
-	sort.Slice(cand, func(a, b int) bool {
-		if scores[cand[a]] != scores[cand[b]] {
-			return scores[cand[a]] > scores[cand[b]]
-		}
-		return cand[a] < cand[b]
-	})
-	if len(cand) > m {
-		cand = cand[:m]
-	}
-	return cand
+// entry is one kept candidate of a top-m selection.
+type entry struct {
+	score float64
+	item  int
 }
 
-// candHeap is a min-heap of candidate items keyed by (score asc, index
-// desc), so the weakest kept candidate sits at the root. The inverted index
-// order makes the heap's notion of "worst" agree with the ranking's tie
-// rule (among equal scores, the larger index is worse).
-type candHeap struct {
-	idx    []int
-	scores []float64
+// topHeap keeps the best m candidates offered so far: a min-heap keyed by
+// (score asc, item desc), so the weakest kept candidate sits at the root.
+// The inverted item order makes the heap's notion of "worst" agree with
+// the ranking's tie rule (among equal scores, the larger index is worse).
+// Both the dense scan and the sparse-support path select through it.
+type topHeap struct {
+	m int
+	e []entry
 }
 
-func (h *candHeap) Len() int { return len(h.idx) }
-func (h *candHeap) Less(a, b int) bool {
-	sa, sb := h.scores[h.idx[a]], h.scores[h.idx[b]]
-	if sa != sb {
-		return sa < sb
-	}
-	return h.idx[a] > h.idx[b]
-}
-func (h *candHeap) Swap(a, b int) { h.idx[a], h.idx[b] = h.idx[b], h.idx[a] }
-func (h *candHeap) Push(x any)    { h.idx = append(h.idx, x.(int)) }
-func (h *candHeap) Pop() any      { v := h.idx[len(h.idx)-1]; h.idx = h.idx[:len(h.idx)-1]; return v }
-func (h *candHeap) worse(i int) bool {
-	// Reports whether candidate i ranks below the current root.
-	root := h.idx[0]
-	if scores := h.scores; scores[i] != scores[root] {
-		return scores[i] < scores[root]
-	}
-	return i > h.idx[0]
+func newTopHeap(m, capHint int) *topHeap {
+	return &topHeap{m: m, e: make([]entry, 0, min(m, capHint))}
 }
 
-func selectHeap(scores []float64, m int, scan *exclusionScan) []int {
-	h := &candHeap{idx: make([]int, 0, m+1), scores: scores}
-	for i := range scores {
-		if scan.excluded(i) {
-			continue
-		}
-		if h.Len() < m {
-			heap.Push(h, i)
-			continue
-		}
-		if h.worse(i) {
-			continue
-		}
-		h.idx[0] = i
-		heap.Fix(h, 0)
+func (a entry) less(b entry) bool {
+	if a.score != b.score {
+		return a.score < b.score
 	}
-	if h.Len() == 0 {
-		return nil
+	return a.item > b.item
+}
+
+// admits reports whether (score, item) would enter the heap: always while
+// it holds fewer than m, otherwise iff it ranks above the root. Callers
+// test this before their exclusion filters — the far cheaper check
+// rejects most candidates of a large catalogue first.
+func (h *topHeap) admits(score float64, item int) bool {
+	if len(h.e) < h.m {
+		return true
 	}
-	// Drain ascending-worst, fill the output back to front.
-	out := make([]int, h.Len())
-	for n := len(out) - 1; n >= 0; n-- {
-		out[n] = heap.Pop(h).(int)
+	return !(entry{score, item}).less(h.e[0])
+}
+
+// add inserts an admitted candidate, evicting the root when full.
+func (h *topHeap) add(score float64, item int) {
+	if len(h.e) < h.m {
+		h.e = append(h.e, entry{score, item})
+		for j := len(h.e) - 1; j > 0; {
+			p := (j - 1) / 2
+			if !h.e[j].less(h.e[p]) {
+				break
+			}
+			h.e[j], h.e[p] = h.e[p], h.e[j]
+			j = p
+		}
+		return
 	}
+	h.e[0] = entry{score, item}
+	h.down()
+}
+
+func (h *topHeap) down() {
+	n := len(h.e)
+	for j := 0; ; {
+		c := 2*j + 1
+		if c >= n {
+			return
+		}
+		if r := c + 1; r < n && h.e[r].less(h.e[c]) {
+			c = r
+		}
+		if !h.e[c].less(h.e[j]) {
+			return
+		}
+		h.e[j], h.e[c] = h.e[c], h.e[j]
+		j = c
+	}
+}
+
+// drain empties the heap into ranking order (best first) and returns the
+// ranked entries, aliasing the heap's storage.
+func (h *topHeap) drain() []entry {
+	out := h.e
+	for n := len(out) - 1; n > 0; n-- {
+		out[0], out[n] = out[n], out[0]
+		h.e = out[:n]
+		h.down()
+	}
+	h.e = out[:0]
 	return out
+}
+
+// selectSupport is the engine's selection over a sparse support: cand
+// lists, ascending, the only items of the n-item catalogue whose score
+// may be nonzero, with their scores in cs, and every other item scores
+// +0. The result — items and score bits — is identical to selecting over
+// the dense score vector: the positive candidates are heap-selected, and
+// any slots left are filled with zero-score items in ascending index
+// order, which is where the tie rule puts them.
+func selectSupport(n int, cand []int32, cs []float64, m int, flat []Filter) ([]int, []float64) {
+	if m <= 0 {
+		return nil, []float64{}
+	}
+	scan := newExclusionScan(flat)
+	h := newTopHeap(m, len(cand))
+	for j, c := range cand {
+		if s, i := cs[j], int(c); s > 0 && h.admits(s, i) && !scan.excluded(i) {
+			h.add(s, i)
+		}
+	}
+	ranked := h.drain()
+	items := make([]int, len(ranked), min(m, n))
+	for k, r := range ranked {
+		items[k] = r.item
+	}
+	if len(items) < m {
+		// Every positive candidate not excluded is already in the heap,
+		// so the fill skips them all.
+		scan.reset()
+		j := 0
+		for i := 0; i < n && len(items) < m; i++ {
+			for j < len(cand) && int(cand[j]) < i {
+				j++
+			}
+			if j < len(cand) && int(cand[j]) == i && cs[j] > 0 {
+				continue
+			}
+			if !scan.excluded(i) {
+				items = append(items, i)
+			}
+		}
+	}
+	scores := make([]float64, len(items))
+	for k, r := range ranked {
+		scores[k] = r.score
+	}
+	if len(items) == 0 {
+		items = nil // Select's empty result
+	}
+	return items, scores
 }

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"math/bits"
 	"os"
 	"sort"
 	"strconv"
@@ -22,10 +21,9 @@ type TagTable struct {
 	tags     map[string]tagSet
 }
 
-// tagSet is a bitset over items plus its precomputed population count.
+// tagSet is a bitset over items.
 type tagSet struct {
-	bits  []uint64
-	count int
+	bits []uint64
 }
 
 func (s tagSet) has(item int) bool {
@@ -80,10 +78,7 @@ func LoadTagTable(r io.Reader, numItems int) (*TagTable, error) {
 			if !ok {
 				s = tagSet{bits: make([]uint64, words)}
 			}
-			if !s.has(item) {
-				s.bits[item>>6] |= 1 << (uint(item) & 63)
-				s.count++
-			}
+			s.bits[item>>6] |= 1 << (uint(item) & 63)
 			t.tags[tag] = s
 		}
 	}
@@ -165,9 +160,6 @@ func (t *TagTable) union(tags []string) (tagSet, string, error) {
 		}
 		key = append(key, tag)
 	}
-	for _, w := range u.bits {
-		u.count += bits.OnesCount64(w)
-	}
 	return u, strings.Join(key, ","), nil
 }
 
@@ -184,10 +176,3 @@ type tagFilter struct {
 func (f tagFilter) Excluded(item int) bool { return f.set.has(item) != f.invert }
 
 func (f tagFilter) CacheKey() string { return f.key }
-
-func (f tagFilter) maxExcluded(numItems int) int {
-	if f.invert {
-		return numItems - f.set.count
-	}
-	return f.set.count
-}

@@ -5,7 +5,8 @@ import "time"
 // Timings, when passed to one of the Timed entry points, receives the
 // wall time the pipeline spent per stage for that single request — the
 // hook the observability layer turns into trace spans. Score is the
-// scorer sweep; Select is the fused filter+selection scan (filters are
+// scorer sweep, or ScoreSupport on the sparse-support path; Select is the
+// fused filter+selection scan (filters are
 // applied during selection, not as a separate pass, so they cannot be
 // timed apart); Stages is the post-selection re-rank pass. On a cache
 // hit or coalesced wait the durations stay zero and the flags say why:

@@ -99,8 +99,13 @@ func (m *Metrics) snapshot(version uint64, cacheEntries int, gate *Gate) map[str
 			"misses":    m.rank.Misses(),
 			"coalesced": m.rank.Coalesced(),
 			"ranked":    m.rank.Ranked(),
-			"hit_rate":  m.CacheHitRate(),
-			"entries":   cacheEntries,
+			// support_ranked is the subset of ranked that scored only
+			// the items sharing a co-cluster with the user, and
+			// support_candidates the items those rankings scored.
+			"support_ranked":     m.rank.SupportRanked(),
+			"support_candidates": m.rank.SupportCandidates(),
+			"hit_rate":           m.CacheHitRate(),
+			"entries":            cacheEntries,
 		},
 		"endpoints": obs.Labeled{Label: "endpoint", Rows: eps},
 		"batch_binary": map[string]any{

@@ -130,6 +130,8 @@ func TestMetricsPrometheusExposition(t *testing.T) {
 		`ocular_endpoints_requests{endpoint="recommend"} 1`,
 		"# TYPE ocular_endpoints_latency_histogram histogram",
 		"ocular_cache_hits",
+		"ocular_cache_support_ranked",
+		"ocular_cache_support_candidates",
 		"ocular_response_write_errors 0",
 	} {
 		if !strings.Contains(string(body), want) {
@@ -153,8 +155,14 @@ func TestShardPrometheusExposition(t *testing.T) {
 	if err := obs.CheckExposition(strings.NewReader(string(body))); err != nil {
 		t.Fatalf("shard exposition fails the checker: %v", err)
 	}
-	if !strings.Contains(string(body), `ocular_endpoints_requests{endpoint="shard_topm"} 1`) {
-		t.Error("shard exposition missing the shard_topm endpoint family")
+	for _, want := range []string{
+		`ocular_endpoints_requests{endpoint="shard_topm"} 1`,
+		"ocular_cache_support_ranked",
+		"ocular_cache_support_candidates",
+	} {
+		if !strings.Contains(string(body), want) {
+			t.Errorf("shard exposition missing %q", want)
+		}
 	}
 }
 

@@ -525,6 +525,7 @@ func (s *Server) loadNamedLocked(nm *namedModel) error {
 	if mapped != nil {
 		scorer = mapped
 	}
+	scorer.IndexSupport()
 	version := nm.version.Add(1)
 	now := time.Now()
 	engineCfg := func(stats *rank.Stats) rank.Config {

@@ -370,6 +370,9 @@ func (s *Server) install(model *core.Model, mapped *core.MappedModel) error {
 	if mapped != nil {
 		scorer = mapped
 	}
+	// Build the sparse-support index before the snapshot serves, so no
+	// request pays for it.
+	scorer.IndexSupport()
 	sn := &snapshot{
 		model:    model,
 		scorer:   scorer,
@@ -389,8 +392,8 @@ func (s *Server) install(model *core.Model, mapped *core.MappedModel) error {
 }
 
 // trainFor returns the configured exclusion matrix padded to the served
-// catalogue shape (users × items), transpose materialized, behind the
-// shape-keyed per-server cache. Guarded by reloadMu (install runs under
+// catalogue shape (users × items), behind the shape-keyed per-server
+// cache. Guarded by reloadMu (install runs under
 // it, or single-threaded at construction).
 func (s *Server) trainFor(users, items int) (*sparse.Matrix, error) {
 	train := s.cfg.Train
@@ -412,13 +415,6 @@ func (s *Server) trainFor(users, items int) (*sparse.Matrix, error) {
 	} else {
 		train = sparse.NewBuilder(users, items).Build()
 	}
-	// Materialize the transpose before the snapshot is published:
-	// sparse.Matrix builds it lazily and unsynchronized, and
-	// /v1/explain walks columns — two concurrent explains over a
-	// freshly padded matrix would race on the cache. The shape-keyed
-	// cache above makes this (and the padding) a one-off per
-	// catalogue growth, not an O(nnz) tax on every reload.
-	train.Transpose()
 	s.paddedTrain = train
 	return train, nil
 }

@@ -101,6 +101,7 @@ func (s *Server) installShard(rng *core.MappedModelRange) error {
 		return fmt.Errorf("serve: item tag table covers %d items but the model has %d",
 			tags.NumItems(), rng.NumItems())
 	}
+	rng.IndexSupport()
 	sn := &snapshot{
 		rng:      rng,
 		train:    train,
@@ -118,12 +119,16 @@ func (s *Server) installShard(rng *core.MappedModelRange) error {
 	return nil
 }
 
-// rangeScorer adapts the item-range mapping to the engine's Scorer: the
-// engine sees a catalogue of Len() partition-local items.
+// rangeScorer adapts the item-range mapping to the engine's Scorer and
+// SupportScorer: the engine sees a catalogue of Len() partition-local
+// items.
 type rangeScorer struct{ rng *core.MappedModelRange }
 
 func (r rangeScorer) ScoreUser(u int, dst []float64) { r.rng.ScoreItems(u, dst) }
 func (r rangeScorer) NumItems() int                  { return r.rng.Len() }
+func (r rangeScorer) ScoreSupport(u int, cand []int32, scores []float64) ([]int32, []float64, bool) {
+	return r.rng.ScoreSupport(u, cand, scores)
+}
 
 // numUsers and numItems read the served catalogue shape in either mode —
 // shard snapshots carry no *core.Model. numItems is always the FULL

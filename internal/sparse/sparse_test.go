@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -95,6 +96,39 @@ func TestTransposeInvolution(t *testing.T) {
 	// Cached: transpose of transpose must be the same object.
 	if m.Transpose().Transpose() != m {
 		t.Fatal("transpose caching broken")
+	}
+}
+
+// TestTransposeConcurrentFirstUse races first calls to Transpose, the
+// way cross-validation folds train concurrently on one matrix; under
+// -race it pins that the lazy cache is synchronized, and every caller
+// must see the one published transpose.
+func TestTransposeConcurrentFirstUse(t *testing.T) {
+	r := rng.New(5)
+	b := NewBuilder(40, 30)
+	for n := 0; n < 200; n++ {
+		b.Add(r.Intn(40), r.Intn(30))
+	}
+	m := b.Build()
+	const g = 8
+	got := make([]*Matrix, g)
+	var wg sync.WaitGroup
+	for n := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[n] = m.Transpose()
+			_ = got[n].Row(0)
+		}()
+	}
+	wg.Wait()
+	for n := range got {
+		if got[n] != got[0] {
+			t.Fatalf("caller %d saw a different transpose", n)
+		}
+	}
+	if got[0].Transpose() != m || got[0].Rows() != 30 || got[0].NNZ() != m.NNZ() {
+		t.Fatal("published transpose is not m's")
 	}
 }
 
